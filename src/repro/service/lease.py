@@ -12,8 +12,9 @@ other hosts over a shared filesystem — can pull from safely:
   ``generation`` counter (bumped on every requeue); to claim a pending
   point a worker exclusively creates the marker file
   ``<key>.g<generation>.claim`` (``O_CREAT | O_EXCL`` — the one
-  filesystem primitive that cannot double-fire), and only the winner
-  rewrites the shard to ``running`` with its worker id and lease expiry.
+  filesystem primitive that cannot double-fire), re-reads the shard to
+  confirm it is still pending at that generation, and only then rewrites
+  it to ``running`` with its worker id and lease expiry.
   Two processes racing the same point resolve to exactly one winner; the
   loser moves on to the next key.
 * **Leases** bound how long a claim is trusted.  The owning worker
@@ -103,7 +104,9 @@ def claim_point(journal: CampaignJournal, key: str, worker: str,
 
     The claim is atomic: the marker file for the shard's current
     generation is created with ``O_CREAT | O_EXCL``, so of any number of
-    racing claimers exactly one proceeds.  Only pending shards are
+    racing claimers exactly one proceeds, and the shard is re-read after
+    the marker is created so a claimer working from a stale read of an
+    already-claimed generation backs off.  Only pending shards are
     claimable — an expired ``running`` shard must be requeued first
     (see :func:`reap_expired` / :func:`claim_next`), which bumps the
     generation and thereby invalidates the old owner's renewals.
@@ -122,9 +125,19 @@ def claim_point(journal: CampaignJournal, key: str, worker: str,
         return None
     with os.fdopen(fd, "w") as fh:
         fh.write(f"{worker} {now:.3f}\n")
-    # We own generation `generation` exclusively: every pending->running
-    # transition goes through this marker, and requeues only touch
-    # running/failed shards, so this write cannot race another claimer.
+    # The marker is removed once the claim lands, so a claimer whose read
+    # predates another's whole claim can still create it: re-validate.
+    # Any earlier claim of this generation has already written `running`
+    # (its marker was live until then), so a still-pending shard at
+    # `generation` means we own it and this write cannot race a claimer.
+    doc = journal.read_point(key)
+    if (doc is None or doc.get("status") != "pending"
+            or int(doc.get("generation", 0)) != generation):
+        try:
+            os.unlink(marker)
+        except OSError:
+            pass
+        return None
     doc = _strip_lease(dict(doc))
     doc["status"] = "running"
     doc["generation"] = generation

@@ -1,55 +1,52 @@
-"""Snapshot blobs must shrink under the columnar refactor.
+"""Snapshot blobs stay smaller than the pre-refactor object-graph engine's.
 
 The columnar classes serialize their columns as packed bytes
 (``array('q').tobytes()``, packed cache words) instead of element-wise
-object graphs, so a mid-run snapshot of the columnar engine must be
-strictly smaller than the same boundary snapshotted from the legacy
-engine — while restoring to the same simulation.
+object graphs.  The bounds below are the sizes the object-graph engine
+produced for the same snapshots, measured before it was removed; the
+columnar engine must stay strictly under them while still restoring to
+the same simulation.
 """
 
-import dataclasses
 import pickle
 
-from repro.core import Core, CoreConfig
+from repro.core import Core
+from repro.core.regfile import PhysRegFile
+from repro.core.snapshot import load_state
 from repro.workloads import build_workload
 
-
-def _snapshot_blob(columnar: bool) -> bytes:
-    core = Core(build_workload("astar"),
-                config=CoreConfig(columnar=columnar))
-    blobs = []
-    core.run(max_instructions=10_000, snapshot_interval=8000,
-             on_snapshot=blobs.append)
-    assert blobs, "run never reached a snapshot boundary"
-    return blobs[-1], core.collect_stats()
+# astar, snapshot at the 8k-instruction boundary of a 10k run.
+OBJECT_GRAPH_BLOB_BYTES = 265_893
+# 512-register file holding the values written below.
+OBJECT_GRAPH_REGFILE_PICKLE_BYTES = 5_731
 
 
 def test_columnar_snapshot_is_smaller():
-    col_blob, col_stats = _snapshot_blob(columnar=True)
-    leg_blob, leg_stats = _snapshot_blob(columnar=False)
-    # Same simulation on both sides of the size comparison.
-    assert col_stats.cycles == leg_stats.cycles
-    assert col_stats.retired == leg_stats.retired
-    assert len(col_blob) < len(leg_blob), \
-        f"columnar snapshot ({len(col_blob)}B) not smaller than " \
-        f"legacy ({len(leg_blob)}B)"
+    core = Core(build_workload("astar"))
+    blobs = []
+    stats = core.run(max_instructions=10_000, snapshot_interval=8000,
+                     on_snapshot=blobs.append)
+    assert blobs, "run never reached a snapshot boundary"
+    assert len(blobs[-1]) < OBJECT_GRAPH_BLOB_BYTES, \
+        f"snapshot ({len(blobs[-1])}B) not smaller than the object-graph " \
+        f"engine's ({OBJECT_GRAPH_BLOB_BYTES}B)"
+    # The blob restores to the same simulation.
+    resumed = Core(build_workload("astar"))
+    resumed.restore(load_state(blobs[-1]))
+    again = resumed.run(max_instructions=10_000, snapshot_interval=8000)
+    assert (again.cycles, again.retired) == (stats.cycles, stats.retired)
 
 
 def test_columnar_components_pickle_compact():
     # The per-structure claim behind the blob-level one: a populated
-    # columnar register file round-trips through pickle smaller than the
-    # legacy twin holding identical contents.
-    from repro.core import legacy
-    from repro.core.regfile import PhysRegFile
-
-    new, old = PhysRegFile(512), legacy.LegacyPhysRegFile(512)
+    # register file round-trips through pickle smaller than the object
+    # graph holding identical contents did.
+    rf = PhysRegFile(512)
     for reg in range(1, 512):
         # Representative 64-bit register contents (pointers, hashes) —
         # where the packed column beats per-element int pickling.
-        value = (reg * 0x9E3779B97F4A7C15) % (1 << 63)
-        new.write(reg, value)
-        old.write(reg, value)
-    assert len(pickle.dumps(new)) < len(pickle.dumps(old))
-    restored = pickle.loads(pickle.dumps(new))
-    assert restored.value == new.value
-    assert restored.ready == new.ready
+        rf.write(reg, (reg * 0x9E3779B97F4A7C15) % (1 << 63))
+    assert len(pickle.dumps(rf)) < OBJECT_GRAPH_REGFILE_PICKLE_BYTES
+    restored = pickle.loads(pickle.dumps(rf))
+    assert restored.value == rf.value
+    assert restored.ready == rf.ready
