@@ -137,8 +137,8 @@ class EventTrace:
                   key=key, worker=worker)
 
     def lease_reaped(self, campaign: str, key: str, reason: str) -> None:
-        """The service reaper requeued one point (dead worker, stale
-        claim, or a failed-point retry)."""
+        """The service reaper requeued or poisoned one point (dead
+        worker, failed-point retry, or poison breaker)."""
         self.emit(0, "lease_reaped", "campaign", campaign=campaign,
                   key=key, reason=reason)
 

@@ -6,16 +6,16 @@ atomic :class:`~repro.harness.runcache.RunCache`, the write-ahead
 resume, and the live telemetry endpoint.  This package lifts them into a
 standing service:
 
-* :mod:`repro.service.lease` — the lease layer: workers *claim* journal
-  points through an atomic exclusive-create protocol, renew a lease while
-  simulating, and a reaper requeues points whose lease lapsed, so a
-  SIGKILLed worker loses its in-flight work but never strands it.
+* :mod:`repro.service.lease` — the lease state machine: the daemon
+  hands each journal point to one worker under a lease the worker renews
+  while simulating, and the daemon's reaper requeues points whose lease
+  lapsed, so a SIGKILLed worker loses its in-flight work but never
+  strands it.  The daemon is the only process that runs it.
 * :mod:`repro.service.queue` — submission specs, tenants, quotas,
   priorities, weighted fair scheduling, and back-pressure accounting.
 * :mod:`repro.service.worker` — the pull-model worker loop: claim a
-  point, simulate it (renewing the lease from the heartbeat hook), flush
-  the result to the journal and run cache, repeat.  Runs against a
-  journal directory directly or connected to a daemon over HTTP.
+  point from a daemon over HTTP, simulate it (renewing the lease from
+  the heartbeat hook), publish the result, repeat.
 * :mod:`repro.service.daemon` — the long-running asyncio daemon: an
   HTTP/JSON API (``POST /campaigns``, status/results/stream routes, the
   five ``POST`` lease endpoints of the remote-execution protocol), an
@@ -23,10 +23,9 @@ standing service:
 * :mod:`repro.service.httpclient` — the resilient worker-side HTTP
   client: timeouts, deterministic-jitter retries, status-aware error
   handling, a circuit breaker, idempotency keys.
-* :mod:`repro.service.transport` — the worker's execution surface:
-  :class:`~repro.service.transport.LocalJournal` over a mounted campaign
-  directory, :class:`~repro.service.transport.RemoteJournal` over the
-  daemon's lease protocol (filesystem-free workers).
+* :mod:`repro.service.transport` — the worker's side of the lease
+  protocol: :class:`~repro.service.transport.RemoteJournal` over the
+  daemon's HTTP endpoints (filesystem-free workers).
 * :mod:`repro.service.chaosproxy` — a seeded network-fault proxy
   (latency, drops, 500s, truncation, duplicate delivery, response-body
   corruption) the chaos suites and CI put between workers and the
@@ -48,13 +47,13 @@ from repro.service.queue import (BackPressure, CampaignRecord, ServiceState,
 from repro.service.httpclient import (CircuitOpen, ClientStats,
                                       HttpStatusError, NotFound,
                                       ServiceClient, TransportError)
-from repro.service.transport import (LocalJournal, RemoteJournal,
-                                     config_from_doc, config_to_doc)
+from repro.service.transport import (RemoteJournal, config_from_doc,
+                                     config_to_doc)
 from repro.service.chaosproxy import ChaosProxy, FaultPlan
 from repro.service.integrity import (IntegrityConfig, IntegrityMonitor,
                                      IntegrityViolation, WorkerReputation,
                                      should_audit)
-from repro.service.worker import WorkerOptions, work_campaign_dir, work_service
+from repro.service.worker import WorkerOptions, work_service
 from repro.service.daemon import CampaignService, ServiceConfig
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "NotFound",
     "TransportError",
     "CircuitOpen",
-    "LocalJournal",
     "RemoteJournal",
     "config_to_doc",
     "config_from_doc",
@@ -92,7 +90,6 @@ __all__ = [
     "WorkerReputation",
     "should_audit",
     "WorkerOptions",
-    "work_campaign_dir",
     "work_service",
     "CampaignService",
     "ServiceConfig",

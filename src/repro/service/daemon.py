@@ -7,8 +7,9 @@ asyncio control loops plus a threaded stdlib HTTP server:
   run-cache dedup) and folds journal scans back into the in-memory
   records, so campaign status/completion is always derived from the
   same shards a ``sweep --resume`` would read;
-* the **reaper** requeues points whose lease lapsed (dead workers) and
-  retries failed points up to ``max_attempts``;
+* the **reaper** requeues points whose lease lapsed (dead workers),
+  retries failed points up to ``max_attempts`` and poisons crash-looping
+  points; it is the only requeue path;
 * the **supervisor** keeps the in-daemon worker pool populated — the
   pool is just ``python -m repro worker --connect <own-url>``
   subprocesses, byte-for-byte the same worker an operator would start on
@@ -33,14 +34,19 @@ HTTP API (JSON unless noted)::
                                   -> {accepted} (idempotent; publishes to
                                   journal + run cache)
     POST   /fail                  {campaign, worker, key, error}
+                                  -> 200 ok / 409 lease lost
     POST   /release               {campaign, worker, key} -> {released}
     GET    /metrics               Prometheus text (service gauges)
     GET    /healthz               liveness probe
 
 The five ``POST`` lease endpoints are the remote-execution protocol: the
-daemon performs the :mod:`repro.service.lease` file operations on the
-workers' behalf (generation-fenced, idempotent first-done-wins
-preserved), so connected workers need no shared filesystem.
+daemon runs the :mod:`repro.service.lease` transitions on the workers'
+behalf (generation-fenced, idempotent first-done-wins), so workers need
+no shared filesystem.  The daemon is the single writer of lease state:
+every transition, from an HTTP handler thread or from a reaper pass,
+holds one daemon-wide journal lock from its shard read to its shard
+write, so two transitions of a point never interleave.  The lock is
+never held across a simulation, an arbitration run or an HTTP write.
 ``complete``/``fail`` honour ``Idempotency-Key`` headers through a
 bounded replay store — a retried publish whose first response was lost
 returns the recorded answer instead of re-applying.
@@ -91,6 +97,12 @@ from repro.workloads import workload_names
 
 __all__ = ["CampaignService", "ServiceConfig"]
 
+
+def _lease_lost(exc: LeaseLost) -> Dict:
+    """The 409 body of a fenced ``/renew`` or ``/fail``."""
+    return {"error": "lease_lost", "key": exc.key, "holder": exc.holder}
+
+
 _INDEX = """repro campaign service
   GET    /campaigns             list campaigns + queue gauges
   POST   /campaigns             submit {workloads, engines, instructions,
@@ -123,9 +135,6 @@ class ServiceConfig:
     max_attempts: int = 3          # failed-point retries (reaper)
     retry_after: float = 5.0       # the 429 Retry-After hint
     drain_seconds: float = 30.0    # SIGTERM: grace for leased points
-    expose_dir: bool = True        # include the campaign dir in /schedule
-    #                                (False enforces filesystem-free
-    #                                workers: the path is never revealed)
     tenants: Dict[str, TenantPolicy] = field(default_factory=dict)
     log: bool = True
     # Result-integrity subsystem (repro.service.integrity).
@@ -153,7 +162,6 @@ class CampaignService:
         self.cache = (RunCache(self.config.cache_dir)
                       if self.config.cache_dir else None)
         self.lease_expirations = 0
-        self.stale_claims = 0
         self.retries = 0
         self.worker_respawns = 0
         self.points_poisoned = 0
@@ -180,6 +188,9 @@ class CampaignService:
             collections.OrderedDict()
         self._idem_cap = 4096
         self._config_maps: Dict[str, Dict] = {}   # cid -> key -> RunConfig
+        # Held by every lease transition (see the module docstring).
+        self._journal_lock = threading.Lock()
+        self.clock = time.time   # lease-time source; tests inject one
         self._draining = threading.Event()
         self._spawned = 0        # monotonic: worker ids never repeat
         self._workers: List[Tuple[str, subprocess.Popen]] = []
@@ -481,7 +492,7 @@ class CampaignService:
         worker's /fail and the next reap would end the campaign with
         retries unserved.
         """
-        now = time.time()
+        now = self.clock()
         counts: Dict[str, int] = {}
         leased = 0
         expired = 0
@@ -540,11 +551,12 @@ class CampaignService:
             if record["status"] not in ("active", "cancelled"):
                 continue
             journal = CampaignJournal(record["dir"])
-            reaped = reap_expired(
-                journal, lease_seconds=self.config.lease_seconds,
-                max_attempts=(0 if record["status"] == "cancelled"
-                              else self.config.max_attempts),
-                poison_distinct=self.config.poison_workers)
+            with self._journal_lock:
+                reaped = reap_expired(
+                    journal, now=self.clock(),
+                    max_attempts=(0 if record["status"] == "cancelled"
+                                  else self.config.max_attempts),
+                    poison_distinct=self.config.poison_workers)
             for key, reason, worker in reaped:
                 if reason == "lease_expired":
                     self.lease_expirations += 1
@@ -553,8 +565,6 @@ class CampaignService:
                     if worker:
                         self.integrity.record_misbehaviour(
                             worker, "lease_expired")
-                elif reason == "stale_claim":
-                    self.stale_claims += 1
                 elif reason == "poisoned":
                     self.points_poisoned += 1
                     shard = journal.read_point(key) or {}
@@ -662,13 +672,17 @@ class CampaignService:
                 "done": len(results), "results": results}
 
     def _schedule_doc(self, worker: str) -> Dict:
-        if self._stopping.is_set() or self._draining.is_set():
-            return {"dir": None, "shutdown": True}
+        if self._draining.is_set():
+            return {"shutdown": True}
+        if self._stopping.is_set():
+            # An immediate stop is not a drain: connected workers ride
+            # through the restart that may follow, so they only back off.
+            return {"retry_after": self.config.tick_interval * 2}
         if self.integrity.is_quarantined(worker):
             # A quarantined worker gets no work, ever: the shutdown
             # answer makes a pool worker exit cleanly, and the
             # supervisor replaces the slot under a fresh identity.
-            return {"dir": None, "shutdown": True, "quarantined": True}
+            return {"shutdown": True, "quarantined": True}
         eligible = self.state.schedule()
         # Skip campaigns whose only remaining work is audits this worker
         # cannot legally run (it completed the originals itself).
@@ -679,19 +693,17 @@ class CampaignService:
                 head = candidate
                 break
         if head is None:
-            return {"dir": None,
-                    "retry_after": self.config.tick_interval * 2}
+            return {"retry_after": self.config.tick_interval * 2}
         journal = CampaignJournal(head.dir)
         manifest = journal.load_manifest() or {}
         keys = []
         for point in manifest.get("points", ()):
             doc = journal.read_point(point["key"]) or {}
-            if doc.get("status") in ("pending", "running"):
+            if doc.get("status") == "pending":
                 keys.append(point["key"])
-        return {"dir": head.dir if self.config.expose_dir else None,
-                "campaign_id": head.id, "keys": keys,
+        return {"campaign_id": head.id, "keys": keys,
                 "lease_seconds": self.config.lease_seconds,
-                "cache_dir": self.config.cache_dir, "worker": worker,
+                "worker": worker,
                 "audits": self.integrity.assignable(head.id, worker)}
 
     # --------------------------------------------- remote lease protocol
@@ -783,9 +795,8 @@ class CampaignService:
                    idem: Optional[str] = None) -> Tuple[int, Dict]:
         """One remote lease operation -> (status, response document).
 
-        Performs the :mod:`repro.service.lease` file operation the worker
-        would have done over a shared filesystem, preserving its exact
-        semantics: generation-fenced claims, 409 on a fenced renew,
+        Runs one :mod:`repro.service.lease` transition under the journal
+        lock: generation-fenced claims, 409 on a fenced renew or fail,
         idempotent first-done-wins completion.  ``complete``/``fail``
         with an idempotency key replay the recorded response instead of
         re-applying — a duplicated delivery (retry whose first response
@@ -813,8 +824,10 @@ class CampaignService:
                 keys = [p["key"] for p in manifest.get("points", ())]
             candidates = [k for k in keys
                           if self._config_for(record, k) is not None]
-            got = claim_next(journal, candidates, worker,
-                             lease_seconds=lease_seconds)
+            with self._journal_lock:
+                got = claim_next(journal, candidates, worker,
+                                 lease_seconds=lease_seconds,
+                                 now=self.clock())
             if got is None:
                 # No claimable point: maybe an audit run instead.  The
                 # assignment is pinned away from the original completer
@@ -853,12 +866,12 @@ class CampaignService:
                 return 409, {"error": "lease_lost", "key": key,
                              "holder": None}
             try:
-                shard = renew_lease(journal, key, worker,
-                                    lease_seconds=lease_seconds,
-                                    hb=doc.get("hb"))
+                with self._journal_lock:
+                    shard = renew_lease(journal, key, worker,
+                                        lease_seconds=lease_seconds,
+                                        hb=doc.get("hb"), now=self.clock())
             except LeaseLost as exc:
-                return 409, {"error": "lease_lost", "key": key,
-                             "holder": exc.holder}
+                return 409, _lease_lost(exc)
             return 200, {"ok": True, "lease_expires_unix":
                          shard.get("lease_expires_unix")}
 
@@ -887,8 +900,9 @@ class CampaignService:
                                   **verdict})
                 self._idem_store(idem, *response)
                 return response
-            accepted = complete_point(journal, key, worker, entry,
-                                      source=doc.get("source", "worker"))
+            with self._journal_lock:
+                accepted = complete_point(journal, key, worker, entry,
+                                          source=doc.get("source", "worker"))
             if accepted and self.cache is not None and config is not None:
                 self.cache.put(config, entry)
             response = (200, {"accepted": accepted, "key": key})
@@ -906,13 +920,18 @@ class CampaignService:
                 response = (200, {"ok": True, "key": key, **verdict})
                 self._idem_store(idem, *response)
                 return response
-            fail_point(journal, key, worker, error)
-            response = (200, {"ok": True, "key": key})
+            try:
+                with self._journal_lock:
+                    fail_point(journal, key, worker, error)
+                response = (200, {"ok": True, "key": key})
+            except LeaseLost as exc:
+                response = (409, _lease_lost(exc))
             self._idem_store(idem, *response)
             return response
 
         if op == "release":
-            released = release_point(journal, key, worker)
+            with self._journal_lock:
+                released = release_point(journal, key, worker)
             return 200, {"released": released, "key": key}
 
         return 404, {"error": f"unknown operation {op!r}"}
@@ -926,8 +945,6 @@ class CampaignService:
                            snap["max_queued_points"]),
                  prom_line("repro_service_lease_expirations_total",
                            self.lease_expirations),
-                 prom_line("repro_service_stale_claims_total",
-                           self.stale_claims),
                  prom_line("repro_service_retries_total", self.retries),
                  prom_line("repro_service_worker_respawns_total",
                            self.worker_respawns),

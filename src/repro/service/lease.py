@@ -1,32 +1,32 @@
-"""Lease layer: crash-safe multi-worker work-claiming on the journal.
+"""Lease layer: the state machine behind the daemon's lease endpoints.
 
 The campaign journal's per-point atomic status shards already make
-*completion* crash-safe (a ``done`` shard survives anything), but the
-single-operator sweep left *claiming* to the parent process: a point
-stuck ``running`` after a worker crash was only recovered by a manual
-``sweep --resume``.  This module turns the shards into a shared work
-queue that any number of worker processes — in the daemon's pool or on
-other hosts over a shared filesystem — can pull from safely:
+*completion* crash-safe (a ``done`` shard survives anything).  This
+module adds *claiming*: the transitions that hand a point to one worker
+for a bounded time and take it back when that worker dies.  Workers
+never run these functions themselves; they ask the daemon
+(:mod:`repro.service.daemon`) over HTTP, and the daemon is the only
+process that changes lease state.
 
-* **Claiming** is atomic and generation-scoped.  Every shard carries a
-  ``generation`` counter (bumped on every requeue); to claim a pending
-  point a worker exclusively creates the marker file
-  ``<key>.g<generation>.claim`` (``O_CREAT | O_EXCL`` — the one
-  filesystem primitive that cannot double-fire), re-reads the shard to
-  confirm it is still pending at that generation, and only then rewrites
-  it to ``running`` with its worker id and lease expiry.
-  Two processes racing the same point resolve to exactly one winner; the
-  loser moves on to the next key.
+**Lock rule.**  Every function here reads a shard, decides, and writes
+it back.  Callers must hold the daemon's journal lock across each call
+(each ``reap_expired`` pass included), so no two transitions of a point
+interleave.  The integrity monitor writes shards without the lock, but
+only ``done`` shards, which no lease transition writes.
+
+* **Claiming** is generation-scoped.  Every shard carries a
+  ``generation`` counter, bumped on every requeue; a claim rewrites a
+  ``pending`` shard to ``running`` with the worker id and lease expiry
+  and counts one more ``attempts``.  Only pending shards are claimable.
 * **Leases** bound how long a claim is trusted.  The owning worker
   renews from its simulation heartbeat hook (folding the latest
   heartbeat payload into the shard, so watchers see live progress); a
   worker that discovers its lease was reaped gets :class:`LeaseLost` and
-  abandons the point instead of fighting the new owner.
-* **The reaper** (:func:`reap_expired`) requeues points whose lease
-  lapsed — SIGKILLed workers lose their in-flight work but never strand
-  it — and heals the two rarer wounds: a claim marker orphaned by a
-  worker that died between marker and shard write, and a shard file that
-  vanished entirely.
+  abandons the point instead of fighting the new owner.  Failing and
+  releasing a point are fenced the same way.
+* **The reaper** (:func:`reap_expired`) is the only requeue path: it
+  requeues points whose lease lapsed (SIGKILLed workers lose their
+  in-flight work but never strand it) and retries failed points.
 * **Completion is idempotent.**  Simulations are deterministic, so a
   worker whose lease was stolen may still finish and publish: the first
   ``done`` wins, every later completion of the same point is a no-op
@@ -42,10 +42,8 @@ other hosts over a shared filesystem — can pull from safely:
   worker in turn.
 """
 
-import os
-import pathlib
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.campaign import CampaignJournal
 
@@ -65,7 +63,8 @@ class LeaseLost(RuntimeError):
 
     Raised from :func:`renew_lease` (typically inside the simulation
     heartbeat hook) so the worker can abandon the point promptly instead
-    of racing the new owner to completion.
+    of racing the new owner to completion, and from :func:`fail_point`
+    so a late failure report cannot overwrite the new owner's state.
     """
 
     def __init__(self, key: str, worker: str, holder: Optional[str] = None):
@@ -74,11 +73,6 @@ class LeaseLost(RuntimeError):
         self.holder = holder
         super().__init__(f"lease on {key} lost by {worker}"
                          + (f" (now held by {holder})" if holder else ""))
-
-
-def _marker_path(journal: CampaignJournal, key: str,
-                 generation: int) -> pathlib.Path:
-    return journal.root / f"{key}.g{generation}.claim"
 
 
 def lease_fields(worker: str, lease_seconds: float,
@@ -100,55 +94,21 @@ def _strip_lease(doc: Dict) -> Dict:
 def claim_point(journal: CampaignJournal, key: str, worker: str,
                 lease_seconds: float = DEFAULT_LEASE_SECONDS,
                 now: Optional[float] = None) -> Optional[Dict]:
-    """Try to claim one ``pending`` point; returns the running shard or None.
+    """Claim one ``pending`` point; returns the running shard or None.
 
-    The claim is atomic: the marker file for the shard's current
-    generation is created with ``O_CREAT | O_EXCL``, so of any number of
-    racing claimers exactly one proceeds, and the shard is re-read after
-    the marker is created so a claimer working from a stale read of an
-    already-claimed generation backs off.  Only pending shards are
-    claimable — an expired ``running`` shard must be requeued first
-    (see :func:`reap_expired` / :func:`claim_next`), which bumps the
-    generation and thereby invalidates the old owner's renewals.
+    An expired ``running`` shard is not claimable: the reaper must
+    requeue it first, which bumps the generation and thereby fences the
+    old owner's renewals.
     """
-    now = time.time() if now is None else now
     doc = journal.read_point(key)
     if doc is None or doc.get("status") != "pending":
         return None
-    generation = int(doc.get("generation", 0))
-    marker = _marker_path(journal, key, generation)
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return None  # somebody else holds (or held) this generation
-    except OSError:
-        return None
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"{worker} {now:.3f}\n")
-    # The marker is removed once the claim lands, so a claimer whose read
-    # predates another's whole claim can still create it: re-validate.
-    # Any earlier claim of this generation has already written `running`
-    # (its marker was live until then), so a still-pending shard at
-    # `generation` means we own it and this write cannot race a claimer.
-    doc = journal.read_point(key)
-    if (doc is None or doc.get("status") != "pending"
-            or int(doc.get("generation", 0)) != generation):
-        try:
-            os.unlink(marker)
-        except OSError:
-            pass
-        return None
     doc = _strip_lease(dict(doc))
     doc["status"] = "running"
-    doc["generation"] = generation
+    doc["generation"] = int(doc.get("generation", 0))
     doc["attempts"] = int(doc.get("attempts", 0)) + 1
     doc.update(lease_fields(worker, lease_seconds, now))
-    claimed = journal.write_point(key, doc)
-    try:
-        os.unlink(marker)
-    except OSError:
-        pass
-    return claimed
+    return journal.write_point(key, doc)
 
 
 def _blame(fields: Dict, worker: Optional[str]) -> List[str]:
@@ -166,8 +126,7 @@ def _requeue(journal: CampaignJournal, key: str, doc: Dict,
 
     The bump is what fences the old owner: its renewals check worker
     identity against the rewritten shard and raise :class:`LeaseLost`.
-    Idempotent under races — two reapers writing the same requeue produce
-    identical shards.  A ``lease_expired`` requeue blames the dead
+    A ``lease_expired`` requeue blames the dead
     worker in ``failed_workers`` (it cannot report its own failure), so
     the poison-point breaker sees crash loops, not just clean failures.
     """
@@ -195,27 +154,9 @@ def _poison(journal: CampaignJournal, key: str, doc: Dict,
 def claim_next(journal: CampaignJournal, keys: Sequence[str], worker: str,
                lease_seconds: float = DEFAULT_LEASE_SECONDS,
                now: Optional[float] = None) -> Optional[Tuple[str, Dict]]:
-    """Claim the first claimable point among ``keys``; ``(key, shard)`` or None.
-
-    Pending points are claimed directly; a ``running`` point whose lease
-    has lapsed is requeued in place first (lazy reaping — standalone
-    workers get dead-worker recovery even with no daemon reaper running)
-    and then contested like any pending point.
-    """
-    now = time.time() if now is None else now
+    """Claim the first ``pending`` point among ``keys``; ``(key, shard)``
+    or None."""
     for key in keys:
-        doc = journal.read_point(key)
-        if doc is None:
-            continue
-        status = doc.get("status")
-        if status == "running":
-            expires = doc.get("lease_expires_unix")
-            if expires is not None and expires < now:
-                _requeue(journal, key, doc, "lease_expired")
-            else:
-                continue
-        elif status != "pending":
-            continue
         claimed = claim_point(journal, key, worker, lease_seconds, now)
         if claimed is not None:
             return key, claimed
@@ -271,8 +212,17 @@ def complete_point(journal: CampaignJournal, key: str, worker: str,
 
 def fail_point(journal: CampaignJournal, key: str, worker: str,
                error: str) -> Dict:
-    """Record a failed attempt (the reaper retries up to its cap)."""
-    doc = journal.read_point(key) or {}
+    """Record a failed attempt (the reaper retries up to its cap).
+
+    Fenced like :func:`renew_lease`: only the worker that holds the
+    ``running`` point may fail it; anyone else gets :class:`LeaseLost`
+    and nothing is written.
+    """
+    doc = journal.read_point(key)
+    if (doc is None or doc.get("status") != "running"
+            or doc.get("worker") != worker):
+        raise LeaseLost(key, worker,
+                        holder=doc.get("worker") if doc else None)
     fields = _strip_lease(dict(doc))
     fields["status"] = "failed"
     fields["error"] = error
@@ -291,18 +241,6 @@ def release_point(journal: CampaignJournal, key: str, worker: str) -> bool:
     return True
 
 
-def _stale_markers(journal: CampaignJournal, key: str, generation: int,
-                   horizon: float) -> List[pathlib.Path]:
-    """Claim markers for ``generation`` older than ``horizon`` seconds —
-    the signature of a claimer killed between marker and shard write."""
-    marker = _marker_path(journal, key, generation)
-    try:
-        age = time.time() - marker.stat().st_mtime
-    except OSError:
-        return []
-    return [marker] if age > horizon else []
-
-
 def _distinct_failures(doc: Dict, extra: Optional[str] = None) -> int:
     workers = {w for w in doc.get("failed_workers", ()) if w}
     if extra:
@@ -311,75 +249,54 @@ def _distinct_failures(doc: Dict, extra: Optional[str] = None) -> int:
 
 
 def reap_expired(journal: CampaignJournal,
-                 lease_seconds: float = DEFAULT_LEASE_SECONDS,
                  now: Optional[float] = None,
                  max_attempts: int = 0,
-                 keys: Optional[Iterable[str]] = None,
                  poison_distinct: int = 0
                  ) -> List[Tuple[str, str, Optional[str]]]:
-    """Requeue every point whose lease (or claim) lapsed.
+    """Requeue every point whose lease lapsed, and retry failed points.
 
-    Returns ``(key, reason, worker)`` triples — ``worker`` is the one
-    the event implicates (the dead lease owner, the failing worker) or
-    None when nobody is (stale claim markers are anonymous), so callers
-    can attribute blame without re-reading shards.
+    Returns ``(key, reason, worker)`` triples; ``worker`` is the one the
+    event implicates (the dead lease owner, the failing worker), so
+    callers can attribute blame without re-reading shards.  Each manifest
+    point is healed in place (no ``--resume`` needed):
 
-    Three wounds heal here, all in place (no ``--resume`` needed):
-
-    * ``running`` with ``lease_expires_unix`` in the past — the owning
+    * ``running`` with ``lease_expires_unix`` in the past: the owning
       worker is dead or wedged; requeue with reason ``lease_expired``;
-    * ``pending`` with a stale claim marker for its generation — a
-      claimer died inside the claim window; bump the generation (with
-      reason ``stale_claim``) so the orphaned marker can never block the
-      point again;
-    * ``failed`` with ``attempts`` below ``max_attempts`` (0 disables) —
+    * ``failed`` with ``attempts`` below ``max_attempts`` (0 disables):
       requeue with reason ``retry``.
 
-    And one wound is declared incurable: with ``poison_distinct`` > 0, a
-    point about to requeue that has already failed under that many
-    *distinct* workers transitions to the terminal ``poisoned`` status
-    (reason ``poisoned``) instead — the crash-loop breaker that stops
-    one pathological config from burning the whole fleet.
-
-    ``keys`` restricts the sweep (default: every manifest point).
+    With ``poison_distinct`` > 0, a point about to requeue that has now
+    failed under that many *distinct* workers transitions to the
+    terminal ``poisoned`` status instead (reason ``poisoned``): the
+    crash-loop breaker that stops one pathological config from burning
+    the whole fleet.  A lease death that trips the breaker is still
+    reported as ``lease_expired`` first, so every dead lease is counted.
     """
     now = time.time() if now is None else now
-    if keys is None:
-        manifest = journal.load_manifest() or {}
-        keys = [p["key"] for p in manifest.get("points", ())]
+    manifest = journal.load_manifest() or {}
     reaped: List[Tuple[str, str, Optional[str]]] = []
-    for key in keys:
+    for point in manifest.get("points", ()):
+        key = point["key"]
         doc = journal.read_point(key)
         if doc is None:
             continue
         status = doc.get("status")
         if status == "running":
             expires = doc.get("lease_expires_unix")
-            if expires is not None and expires < now:
-                worker = doc.get("worker")
-                if (poison_distinct
-                        and _distinct_failures(doc, extra=worker)
-                        >= poison_distinct):
-                    blamed = dict(doc)
-                    _blame(blamed, worker)
-                    _poison(journal, key, blamed,
-                            error="lease expired under "
-                                  f"{_distinct_failures(doc, extra=worker)}"
-                                  " distinct workers")
-                    reaped.append((key, "poisoned", worker))
-                else:
-                    _requeue(journal, key, doc, "lease_expired")
-                    reaped.append((key, "lease_expired", worker))
-        elif status == "pending":
-            generation = int(doc.get("generation", 0))
-            for marker in _stale_markers(journal, key, generation,
-                                         lease_seconds):
-                _requeue(journal, key, doc, "stale_claim")
-                try:
-                    os.unlink(marker)
-                except OSError:
-                    pass
-                reaped.append((key, "stale_claim", None))
+            if expires is None or expires >= now:
+                continue
+            worker = doc.get("worker")
+            reaped.append((key, "lease_expired", worker))
+            failures = _distinct_failures(doc, extra=worker)
+            if poison_distinct and failures >= poison_distinct:
+                blamed = dict(doc)
+                _blame(blamed, worker)
+                _poison(journal, key, blamed,
+                        error=f"lease expired under {failures} "
+                              "distinct workers")
+                reaped.append((key, "poisoned", worker))
+            else:
+                _requeue(journal, key, doc, "lease_expired")
         elif status == "failed":
             worker = doc.get("failed_by")
             if (poison_distinct

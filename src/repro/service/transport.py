@@ -1,46 +1,38 @@
-"""Claim/renew/complete transports: the worker's one execution surface.
-
-The worker loop (:mod:`repro.service.worker`) is transport-agnostic: it
-runs a point through whichever transport handed it out, and the two
-implementations agree on the contract:
-
-* ``claim(keys, lease_seconds)`` -> ``(key, RunConfig, shard)`` or
-  ``None`` when nothing was claimable;
-* ``renew(key, lease_seconds, hb)`` extends the lease, raising
-  :class:`~repro.service.lease.LeaseLost` when this worker was fenced
-  out (and *only* then — a network failure on the remote transport is
-  swallowed and counted, because completion is idempotent and
-  first-done-wins makes an optimistic worker safe);
-* ``complete(key, entry, source)`` / ``fail(key, error)`` publish the
-  outcome;
-* ``release_held()`` hands back exactly the points this transport still
-  holds — the shutdown courtesy path, now O(held) instead of O(points).
-
-:class:`LocalJournal` talks to a mounted campaign directory through the
-lease layer — the ``repro worker --dir`` deployment.
+"""The worker's side of the daemon's lease protocol.
 
 :class:`RemoteJournal` speaks the daemon's ``POST /claim`` / ``/renew``
 / ``/complete`` / ``/fail`` / ``/release`` protocol through a
-:class:`~repro.service.httpclient.ServiceClient`; a connected worker
-never opens the campaign root (it does not even learn the path), which
-is what lets worker hosts live on machines that do not mount it.
+:class:`~repro.service.httpclient.ServiceClient`.  The daemon is the only
+process that changes lease state; a worker never opens the campaign
+root (it does not even learn the path), which is what lets worker hosts
+live on machines that do not mount it.  The contract the worker loop
+(:mod:`repro.service.worker`) relies on:
+
+* ``claim_next(keys, lease_seconds)`` -> ``(key, RunConfig, shard)`` or
+  ``None`` when nothing was claimable;
+* ``renew(key, lease_seconds, hb)`` extends the lease, raising
+  :class:`~repro.service.lease.LeaseLost` when this worker was fenced
+  out (and *only* then: a network failure is swallowed and counted,
+  because completion is idempotent and first-done-wins makes an
+  optimistic worker safe);
+* ``complete(key, entry, source)`` / ``fail(key, error)`` publish the
+  outcome;
+* ``release_held()`` hands back exactly the points this worker still
+  holds, the shutdown courtesy path.
+
 Completion bodies carry the full run-cache entry so the daemon publishes
 to the journal *and* the shared cache on its side of the wire.
 """
 
 import sys
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.harness.campaign import CampaignJournal
 from repro.harness.simulator import RunConfig
 from repro.service.httpclient import (CircuitOpen, HttpStatusError, NotFound,
                                       ServiceClient, TransportError)
-from repro.service.lease import (DEFAULT_LEASE_SECONDS, LeaseLost,
-                                 claim_next, complete_point, fail_point,
-                                 release_point, renew_lease)
+from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseLost
 
-__all__ = ["LocalJournal", "RemoteJournal", "config_from_doc",
-           "config_to_doc"]
+__all__ = ["RemoteJournal", "config_from_doc", "config_to_doc"]
 
 Claim = Tuple[str, RunConfig, Dict]
 
@@ -62,68 +54,12 @@ def config_from_doc(doc: Dict) -> RunConfig:
                      max_instructions=int(doc["instructions"]))
 
 
-class LocalJournal:
-    """Transport over a mounted campaign directory (the lease layer)."""
-
-    def __init__(self, journal: CampaignJournal, worker_id: str,
-                 configs: Dict[str, RunConfig]):
-        self.journal = journal
-        self.worker_id = worker_id
-        self.configs = configs
-        self.held: set = set()
-        self.renew_misses = 0    # always 0 locally; mirrors RemoteJournal
-
-    def claim(self, keys: Optional[Sequence[str]] = None,
-              lease_seconds: float = DEFAULT_LEASE_SECONDS
-              ) -> Optional[Claim]:
-        candidates = [k for k in (keys if keys is not None else self.configs)
-                      if k in self.configs]
-        got = claim_next(self.journal, candidates, self.worker_id,
-                         lease_seconds=lease_seconds)
-        if got is None:
-            return None
-        key, shard = got
-        self.held.add(key)
-        return key, self.configs[key], shard
-
-    def renew(self, key: str, lease_seconds: float,
-              hb: Optional[Dict] = None) -> None:
-        try:
-            renew_lease(self.journal, key, self.worker_id,
-                        lease_seconds=lease_seconds, hb=hb)
-        except LeaseLost:
-            self.held.discard(key)
-            raise
-
-    def complete(self, key: str, entry: Dict,
-                 source: str = "worker") -> bool:
-        accepted = complete_point(self.journal, key, self.worker_id,
-                                  entry, source=source)
-        self.held.discard(key)
-        return accepted
-
-    def fail(self, key: str, error: str) -> None:
-        fail_point(self.journal, key, self.worker_id, error)
-        self.held.discard(key)
-
-    def abandon(self, key: str) -> None:
-        self.held.discard(key)
-
-    def release_held(self) -> int:
-        released = 0
-        for key in sorted(self.held):
-            if release_point(self.journal, key, self.worker_id):
-                released += 1
-        self.held.clear()
-        return released
-
-
 class RemoteJournal:
-    """The same surface over HTTP: filesystem-free workers.
+    """One campaign's lease protocol over HTTP: filesystem-free workers.
 
     Error philosophy, per operation:
 
-    * ``claim`` — transport errors propagate (the loop decides whether
+    * ``claim_next`` — transport errors propagate (the loop decides whether
       to back off or move on); a 404 propagates as
       :class:`~repro.service.httpclient.NotFound` so the loop can drop a
       campaign the daemon no longer knows.
@@ -155,7 +91,7 @@ class RemoteJournal:
                                               flush=True))
 
     # ------------------------------------------------------------ claims
-    def claim(self, keys: Optional[Sequence[str]] = None,
+    def claim_next(self, keys: Optional[Sequence[str]] = None,
               lease_seconds: float = DEFAULT_LEASE_SECONDS
               ) -> Optional[Claim]:
         body = {"campaign": self.campaign_id, "worker": self.worker_id,
@@ -260,8 +196,3 @@ class RemoteJournal:
                 released += 1
         self.held.clear()
         return released
-
-
-def release_all(transports: Iterable) -> int:
-    """Release every held point across ``transports`` (worker exit)."""
-    return sum(t.release_held() for t in transports)

@@ -1,37 +1,26 @@
 """Pull-model campaign worker: claim, simulate, publish, repeat.
 
-One worker process runs one point at a time: it claims a pending point
-through a transport, simulates it with the lease renewed from the
-simulation heartbeat hook (so a healthy worker's lease never lapses and
-watchers see live progress in the point shard), publishes the result,
-and claims the next.  The point loop (:func:`_run_point`) is
-transport-agnostic; the two deployments differ only in which
-:mod:`repro.service.transport` implementation hands points out:
-
-* :func:`work_campaign_dir` — aimed straight at a campaign directory
-  (``repro worker --dir CAMP``): drains that one campaign through the
-  local lease layer (:class:`~repro.service.transport.LocalJournal`)
-  and exits.
-* :func:`work_service` — connected to a daemon
-  (``repro worker --connect URL``): polls ``GET /schedule`` for which
-  campaign to claim from next, then claims/renews/publishes through the
-  daemon's ``POST /claim``/``/renew``/``/complete``/``/fail`` protocol
-  (:class:`~repro.service.transport.RemoteJournal`).  A connected
-  worker **never touches the campaign root** — it is never even told
-  the path — so worker hosts need no shared filesystem.  All HTTP goes
-  through the resilient :class:`~repro.service.httpclient.ServiceClient`
-  (retries, backoff, circuit breaker): a daemon restart or a flaky link
-  degrades the worker to a breaker-paced reconnect loop instead of an
-  exit.  ``WorkerOptions.max_misses`` (0 = never) bounds how many
-  consecutive failed schedule polls are tolerated before giving up.
+One worker process runs one point at a time.  Connected to a daemon
+(``repro worker --connect URL``), it polls ``GET /schedule`` for which
+campaign to claim from next, then claims, renews and publishes through
+the daemon's ``POST /claim``/``/renew``/``/complete``/``/fail`` protocol
+(:class:`~repro.service.transport.RemoteJournal`).  The lease is renewed
+from the simulation heartbeat hook, so a healthy worker's lease never
+lapses and watchers see live progress in the point shard.  A worker
+**never touches the campaign root**: it is never even told the path, so
+worker hosts need no shared filesystem, and the daemon stays the only
+process that changes lease state.  All HTTP goes through the resilient
+:class:`~repro.service.httpclient.ServiceClient` (retries, backoff,
+circuit breaker): a daemon restart or a flaky link degrades the worker
+to a breaker-paced reconnect loop instead of an exit.
+``WorkerOptions.max_misses`` (0 = never) bounds how many consecutive
+failed schedule polls are tolerated before giving up.
 
 A worker that loses its lease mid-simulation (the reaper requeued it, or
 a resume fenced it out) gets :class:`~repro.service.lease.LeaseLost`
 from the renewal inside its heartbeat hook, abandons the point, and
 moves on; the new owner's result is the one that lands.  On exit the
-worker courteously releases exactly the points it still holds —
-transports track held keys, so the release is O(held), not a
-release-everything sweep over the manifest.
+worker courteously releases exactly the points it still holds.
 
 Fault injection (CI only): ``REPRO_SERVICE_INJECT`` is a JSON object
 ``{"worker": "w1", "die_after_claims": 2, "flag": "/path"}`` — the named
@@ -55,16 +44,14 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.harness.campaign import CampaignJournal
 from repro.harness.runcache import RunCache, entry_from_result
 from repro.harness.simulator import RunConfig, simulate
 from repro.service.httpclient import (CircuitOpen, HttpStatusError, NotFound,
                                       ServiceClient, TransportError)
 from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseLost
-from repro.service.queue import configs_from_spec
-from repro.service.transport import LocalJournal, RemoteJournal
+from repro.service.transport import RemoteJournal
 
-__all__ = ["WorkerOptions", "work_campaign_dir", "work_service"]
+__all__ = ["WorkerOptions", "work_service"]
 
 INJECT_ENV = "REPRO_SERVICE_INJECT"
 
@@ -84,7 +71,7 @@ class WorkerOptions:
     #                                paces reconnection instead)
     cache_dir: Optional[str] = None
     log: bool = True
-    # Resilient-client knobs (connected mode).
+    # Resilient-client knobs.
     http_timeout: float = 10.0
     http_retries: int = 4
     http_backoff: float = 0.25
@@ -159,9 +146,7 @@ class _Injection:
             # Once only: the flag file arbitrates which incarnation dies
             # (a respawned worker with the same id must survive).
             try:
-                fd = os.open(self.flag,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
+                open(self.flag, "x").close()
             except OSError:
                 return
         # SIGKILL semantics: no journal cleanup, no lease release — the
@@ -194,11 +179,9 @@ def _run_point(transport, key: str, config: RunConfig,
                audit: bool = False) -> None:
     """Simulate one claimed point and publish the outcome.
 
-    Transport-agnostic: ``transport`` is a
-    :class:`~repro.service.transport.LocalJournal` or
-    :class:`~repro.service.transport.RemoteJournal`; both renew from the
-    heartbeat hook, raise :class:`LeaseLost` only on authoritative
-    fencing, and publish idempotently (first done wins).
+    ``transport`` (a :class:`~repro.service.transport.RemoteJournal`)
+    renews from the heartbeat hook, raises :class:`LeaseLost` only on
+    authoritative fencing, and publishes idempotently (first done wins).
 
     ``audit`` runs re-execute an already-done point for the daemon's
     integrity monitor: the local RunCache is bypassed in both directions
@@ -258,55 +241,6 @@ def _run_point(transport, key: str, config: RunConfig,
         _log(options, f"done {key} (duplicate; first completion kept)")
 
 
-def _campaign_configs(journal: CampaignJournal) -> Dict[str, RunConfig]:
-    """``key -> RunConfig`` for every point the manifest spec names."""
-    manifest = journal.load_manifest() or {}
-    spec = manifest.get("spec") or {}
-    if not spec.get("workloads") or not spec.get("engines"):
-        return {}
-    return {c.cache_key(): c for c in configs_from_spec(spec)}
-
-
-def work_campaign_dir(campaign_dir, options: Optional[WorkerOptions] = None
-                      ) -> WorkerReport:
-    """Drain one campaign directory: claim until nothing is claimable.
-
-    Safe to run many of these concurrently against the same directory
-    (that is the whole point); each returns once every manifest point is
-    done/failed or leased to somebody else.
-    """
-    options = options or WorkerOptions()
-    report = WorkerReport(worker_id=options.worker_id)
-    journal = CampaignJournal(campaign_dir)
-    injection = _Injection(options.worker_id)
-    configs = _campaign_configs(journal)
-    if not configs:
-        _log(options, f"no runnable manifest under {campaign_dir}")
-        return report
-    cache = RunCache(options.cache_dir) if options.cache_dir else None
-    report.campaigns.append(str(campaign_dir))
-    transport = LocalJournal(journal, options.worker_id, configs)
-    while True:
-        if options.max_points and report.claimed >= options.max_points:
-            break
-        got = transport.claim(lease_seconds=options.lease_seconds)
-        if got is None:
-            break
-        key, config, _shard = got
-        report.claimed += 1
-        injection.maybe_die(report.claimed)
-        _run_point(transport, key, config, options, report, cache,
-                   injection=injection)
-    # Courtesy: hand back anything still held (crash paths skip this by
-    # construction; the reaper covers them). O(held) — normally zero.
-    report.released = transport.release_held()
-    return report
-
-
-# ----------------------------------------------------------------------
-# Connected mode: the daemon picks the campaign, the daemon's lease
-# endpoints settle the claim. No filesystem in sight.
-# ----------------------------------------------------------------------
 def work_service(base_url: str, options: Optional[WorkerOptions] = None
                  ) -> WorkerReport:
     """Work for a daemon: poll ``/schedule``, claim one point, repeat.
@@ -382,7 +316,7 @@ def work_service(base_url: str, options: Optional[WorkerOptions] = None
                 log=lambda msg: _log(options, msg))
             remotes[cid] = remote
         try:
-            got = remote.claim(doc.get("keys"),
+            got = remote.claim_next(doc.get("keys"),
                                lease_seconds=lease_seconds)
         except NotFound:
             # The campaign is authoritatively gone (daemon restarted

@@ -130,16 +130,15 @@ class TestPoisonBreaker:
         journal = make_journal(tmp_path)
         claim_point(journal, "p", "w1", lease_seconds=0.01)
         time.sleep(0.03)
-        assert reap_expired(journal, lease_seconds=0.01,
-                            poison_distinct=2) \
+        assert reap_expired(journal, poison_distinct=2) \
             == [("p", "lease_expired", "w1")]
         claim_point(journal, "p", "w2", lease_seconds=0.01)
         time.sleep(0.03)
         # Second distinct silent death: the crash-loop breaker fires
-        # even though neither worker ever reported a failure.
-        assert reap_expired(journal, lease_seconds=0.01,
-                            poison_distinct=2) \
-            == [("p", "poisoned", "w2")]
+        # even though neither worker ever reported a failure, and the
+        # death itself is still reported.
+        assert reap_expired(journal, poison_distinct=2) \
+            == [("p", "lease_expired", "w2"), ("p", "poisoned", "w2")]
         assert journal.read_point("p")["status"] == "poisoned"
 
 

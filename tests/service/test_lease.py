@@ -1,16 +1,21 @@
-"""Lease-layer contracts: atomic claiming, fencing, idempotent completion.
+"""Lease-layer contracts: claiming, fencing, idempotent completion.
 
-The claims here are the ones the whole service stands on, so the racing
-test replays the losing interleaving deterministically instead of hoping
-two processes happen to hit it.
+The claims here are the ones the whole service stands on.  The daemon is
+the single writer of lease state, so the racing tests drive its own
+``_lease_rpc`` and ``_reap`` and force each losing interleaving with a
+paused ``read_point`` instead of hoping two threads happen to hit it.
 """
 
-import os
+import collections
+import random
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.harness.campaign import CampaignJournal
+from repro.service.daemon import CampaignService, ServiceConfig
 from repro.service.lease import (LeaseLost, claim_next, claim_point,
                                  complete_point, fail_point, reap_expired,
                                  release_point, renew_lease)
@@ -31,6 +36,50 @@ def make_journal(tmp_path, keys=("a", "b")):
     for k in keys:
         journal.mark(k, "pending")
     return journal
+
+
+ONE_POINT = {"workloads": ["astar"], "engines": ["baseline"],
+             "instructions": 1000}
+
+
+def offline_service(root, spec=ONE_POINT, **overrides):
+    """A daemon with one active campaign and no threads: tests call its
+    lease RPCs and reaper directly.  Returns ``(service, cid)``."""
+    kwargs = dict(root=str(root), workers=0, log=False)
+    kwargs.update(overrides)
+    svc = CampaignService(ServiceConfig(**kwargs))
+    record = svc._submit(dict(spec))
+    svc._activate(record)
+    return svc, record.id
+
+
+def journal_of(svc, cid):
+    return CampaignJournal(svc.state.get(cid).dir)
+
+
+def paused_reads(monkeypatch, who):
+    """Pause the first ``read_point`` that thread ``who`` makes of a pending
+    or running shard, between the read and its caller's write.  Returns
+    ``(paused, resume)`` events; the pause gives up after 5 s so a test
+    cannot hang."""
+    real = CampaignJournal.read_point
+    paused, resume = threading.Event(), threading.Event()
+
+    def read_point(self, key):
+        doc = real(self, key)
+        if (threading.current_thread() is who and not paused.is_set()
+                and doc is not None
+                and doc.get("status") in ("pending", "running")):
+            paused.set()
+            resume.wait(timeout=5.0)
+        return doc
+
+    monkeypatch.setattr(CampaignJournal, "read_point", read_point)
+    return paused, resume
+
+
+def thread(target):
+    return threading.Thread(target=target, daemon=True)
 
 
 class TestClaim:
@@ -59,30 +108,35 @@ class TestClaim:
         assert key == "b"
         assert doc["worker"] == "w2"
 
-    def test_stale_reader_loses_race_to_first_claimer(self, tmp_path):
-        """The double-claim interleaving, replayed deterministically: the
-        second claimer read the shard while it was still pending, but
-        only creates its claim marker after the first claimer finished
-        (and removed its marker).  The claim must be re-validated against
-        the shard, so the stale reader loses."""
-        journal = make_journal(tmp_path, keys=("p",))
-        stale = journal.read_point("p")
-        first = claim_point(journal, "p", "w1")
+    def test_stale_reader_loses_race_to_first_claimer(self, tmp_path,
+                                                      monkeypatch):
+        """A second ``/claim`` fires while the first claim sits between
+        its shard read and its shard write.  The journal lock makes the
+        second claim wait and then read the first one's ``running``
+        shard, so exactly one worker wins."""
+        svc, cid = offline_service(tmp_path)
+        answers = {}
 
-        real_read = journal.read_point
-        reads = []
+        def claim(worker):
+            answers[worker] = svc._lease_rpc(
+                "claim", {"campaign": cid, "worker": worker})[1]["key"]
 
-        def stale_first_read(key):
-            reads.append(key)
-            return dict(stale) if len(reads) == 1 else real_read(key)
+        first = thread(lambda: claim("w1"))
+        second = thread(lambda: claim("w2"))
+        paused, resume = paused_reads(monkeypatch, first)
+        first.start()
+        assert paused.wait(timeout=5.0)
+        second.start()
+        second.join(timeout=0.5)
+        resume.set()
+        for t in (first, second):
+            t.join(timeout=10.0)
+            assert not t.is_alive()
 
-        journal.read_point = stale_first_read
-        second = claim_point(journal, "p", "w2")
-        journal.read_point = real_read
-
-        winners = [doc for doc in (first, second) if doc is not None]
-        assert len(winners) == 1, winners
-        shard = journal.read_point("p")
+        winners = [w for w, key in answers.items() if key is not None]
+        assert winners == ["w1"], answers
+        (key,) = journal_of(svc, cid).statuses()
+        shard = journal_of(svc, cid).read_point(key)
         assert shard["status"] == "running"
         assert shard["worker"] == "w1"
         assert shard["attempts"] == 1
@@ -100,10 +154,14 @@ class TestClaim:
 
 
 class TestLeaseExpiry:
-    def test_claim_next_requeues_expired_lease_in_place(self, tmp_path):
+    def test_claim_never_requeues_the_reaper_does(self, tmp_path):
         journal = make_journal(tmp_path, keys=("p",))
         claim_point(journal, "p", "dead", lease_seconds=0.01)
         time.sleep(0.05)
+        # The lapsed lease is not claimable until the reaper requeues it.
+        assert claim_next(journal, ["p"], "w2") is None
+        assert journal.read_point("p")["worker"] == "dead"
+        assert reap_expired(journal) == [("p", "lease_expired", "dead")]
         key, doc = claim_next(journal, ["p"], "w2")
         assert key == "p"
         assert doc["worker"] == "w2"
@@ -116,7 +174,7 @@ class TestLeaseExpiry:
         claim_point(journal, "p", "dead", lease_seconds=0.01)
         claim_point(journal, "q", "alive", lease_seconds=60)
         time.sleep(0.05)
-        reaped = reap_expired(journal, lease_seconds=0.01)
+        reaped = reap_expired(journal)
         assert reaped == [("p", "lease_expired", "dead")]
         p = journal.read_point("p")
         assert p["status"] == "pending"
@@ -130,7 +188,7 @@ class TestLeaseExpiry:
         journal = make_journal(tmp_path, keys=("p",))
         claim_point(journal, "p", "w1", lease_seconds=0.01)
         time.sleep(0.05)
-        reap_expired(journal, lease_seconds=0.01)
+        reap_expired(journal)
         with pytest.raises(LeaseLost):
             renew_lease(journal, "p", "w1")
         # ...and after a new claim, the old owner is fenced by identity.
@@ -146,21 +204,6 @@ class TestLeaseExpiry:
                           hb={"retired": 500, "instructions": 1000})
         assert doc["hb"]["retired"] == 500
         assert doc["lease_expires_unix"] > time.time() + 20
-
-    def test_stale_claim_marker_is_healed(self, tmp_path):
-        """A claimer killed between marker and shard write leaves a
-        pending shard blocked by an orphaned marker; the reaper bumps the
-        generation so the point is claimable again."""
-        journal = make_journal(tmp_path, keys=("p",))
-        marker = journal.root / "p.g0.claim"
-        marker.write_text("ghost 0.0\n")
-        old = time.time() - 60
-        os.utime(marker, (old, old))
-        assert claim_point(journal, "p", "w1") is None  # blocked
-        reaped = reap_expired(journal, lease_seconds=1.0)
-        assert reaped == [("p", "stale_claim", None)]
-        assert not marker.exists()
-        assert claim_point(journal, "p", "w1") is not None
 
     def test_failed_points_retry_up_to_cap(self, tmp_path):
         journal = make_journal(tmp_path, keys=("p",))
@@ -227,3 +270,156 @@ class TestPrepareFencing:
         assert "worker" not in doc
         with pytest.raises(LeaseLost):
             renew_lease(journal, key, "w1")
+
+
+class TestSingleWriter:
+    """Interleavings the daemon's journal lock rules out by construction."""
+
+    def test_claims_never_requeue_so_lease_deaths_poison(self, tmp_path):
+        """Two workers die holding the point; with ``poison_workers=2``
+        the point must be poisoned, both deaths counted, and both dead
+        workers blamed.  A claim that lands before the reaper's pass
+        must not requeue the dead lease itself, skipping all three."""
+        svc, cid = offline_service(tmp_path, poison_workers=2)
+        (key,) = journal_of(svc, cid).statuses()
+
+        def claim(worker):
+            return svc._lease_rpc("claim", {
+                "campaign": cid, "worker": worker,
+                "lease_seconds": 0.001})[1]["key"]
+
+        for worker in ("dead1", "dead2"):
+            if claim(worker) is None:   # the previous lease still stands
+                svc._reap()
+                assert claim(worker) == key
+            time.sleep(0.01)            # the worker dies; its lease lapses
+        svc._reap()
+        assert claim("w3") is None
+
+        shard = journal_of(svc, cid).read_point(key)
+        assert shard["status"] == "poisoned"
+        assert sorted(shard["failed_workers"]) == ["dead1", "dead2"]
+        assert svc.lease_expirations == 2
+        assert svc.points_poisoned == 1
+        for worker in ("dead1", "dead2"):
+            assert svc.integrity.reputation.score(worker) > 0, worker
+
+    def test_completion_during_a_reap_pass_is_kept(self, tmp_path,
+                                                   monkeypatch):
+        """The reaper has read an expired ``running`` shard when an
+        accepted ``/complete`` lands.  Its write must not turn the done
+        point back into ``pending``."""
+        svc, cid = offline_service(tmp_path)
+        claimed = svc._lease_rpc("claim", {"campaign": cid, "worker": "w1",
+                                           "lease_seconds": 0.001})[1]
+        key = claimed["key"]
+        time.sleep(0.01)                # w1's lease lapses, w1 finishes
+        reaper = thread(svc._reap)
+        answers = []
+        completer = thread(lambda: answers.append(svc._lease_rpc(
+            "complete", {"campaign": cid, "worker": "w1", "key": key,
+                         "entry": {"cycles": 7}})))
+        paused, resume = paused_reads(monkeypatch, reaper)
+        reaper.start()
+        assert paused.wait(timeout=5.0)
+        completer.start()
+        completer.join(timeout=0.5)
+        resume.set()
+        for t in (reaper, completer):
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+
+        assert answers == [(200, {"accepted": True, "key": key})]
+        shard = journal_of(svc, cid).read_point(key)
+        assert shard["status"] == "done"
+        assert shard["entry"] == {"cycles": 7}
+
+    def test_late_fail_cannot_undo_another_workers_done(self, tmp_path):
+        journal = make_journal(tmp_path, keys=("p",))
+        claim_point(journal, "p", "w1")
+        assert complete_point(journal, "p", "w1", {"cycles": 1}) is True
+        with pytest.raises(LeaseLost):
+            fail_point(journal, "p", "w2", "late")
+        assert journal.read_point("p")["status"] == "done"
+
+    def test_late_fail_over_http_is_409_and_keeps_done(self, tmp_path):
+        svc, cid = offline_service(tmp_path)
+        key = svc._lease_rpc("claim", {"campaign": cid,
+                                       "worker": "w1"})[1]["key"]
+        svc._lease_rpc("complete", {"campaign": cid, "worker": "w1",
+                                    "key": key, "entry": {"cycles": 1}})
+        status, body = svc._lease_rpc("fail", {
+            "campaign": cid, "worker": "w2", "key": key, "error": "late"})
+        assert (status, body) == (409, {"error": "lease_lost", "key": key,
+                                        "holder": None})
+        shard = journal_of(svc, cid).read_point(key)
+        assert shard["status"] == "done"
+        assert shard["entry"] == {"cycles": 1}
+
+    def test_threaded_lease_storm_keeps_the_invariants(self, tmp_path):
+        """Eight worker threads and a reaper thread hammer four points
+        for two seconds with a tiny switch interval.  A lost update
+        would show as a generation won twice, ``attempts`` drifting
+        from the number of wins, or an accepted completion undone."""
+        spec = {"workloads": ["astar", "bfs"],
+                "engines": ["baseline", "phelps"], "instructions": 1000}
+        svc, cid = offline_service(tmp_path, spec=spec,
+                                   max_attempts=10**6, poison_workers=0)
+        wins = collections.Counter()
+        accepted = set()
+        record = threading.Lock()
+        deadline = time.monotonic() + 2.0
+
+        def rpc(op, worker, **body):
+            return svc._lease_rpc(op, {"campaign": cid, "worker": worker,
+                                       **body})
+
+        def work(worker):
+            rng = random.Random(worker)
+            while time.monotonic() < deadline:
+                _status, doc = rpc("claim", worker, lease_seconds=0.02)
+                key = doc["key"]
+                if key is None:
+                    continue
+                with record:
+                    wins[key, doc["shard"]["generation"]] += 1
+                op = rng.choice(["renew", "fail", "release", "die",
+                                 "complete"] + ["fail"] * 4)
+                if op == "complete":
+                    _status, done = rpc("complete", worker, key=key,
+                                        entry={"cycles": 1})
+                    if done["accepted"]:
+                        with record:
+                            accepted.add(key)
+                elif op == "die":
+                    time.sleep(0.03)       # the lease lapses unrenewed
+                elif op == "renew":
+                    rpc("renew", worker, key=key, lease_seconds=0.02)
+                else:
+                    rpc(op, worker, key=key, error="boom")
+
+        def reap():
+            while time.monotonic() < deadline:
+                svc._reap()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [thread(lambda w=f"w{i}": work(w)) for i in range(8)]
+            threads.append(thread(reap))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert wins and max(wins.values()) == 1, wins.most_common(3)
+        journal = journal_of(svc, cid)
+        for key in journal.statuses():
+            shard = journal.read_point(key)
+            claims = sum(n for (k, _gen), n in wins.items() if k == key)
+            assert shard.get("attempts", 0) == claims, key
+            if key in accepted:
+                assert shard["status"] == "done", key

@@ -132,7 +132,7 @@ class TestLeaseProtocol:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            got = remote.claim()
+            got = remote.claim_next()
             assert got is not None
             key, config, shard = got
             # The wire config mints the exact journal key: remote results
@@ -153,7 +153,7 @@ class TestLeaseProtocol:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim()
+            key, _config, _shard = remote.claim_next()
             assert remote.complete(key, {"cycles": 1}) is True
             # A different worker re-completing the same point is refused
             # (no idempotency replay involved: different key).
@@ -174,7 +174,7 @@ class TestLeaseProtocol:
                               cid, "a")
             b = RemoteJournal(ServiceClient(svc.url, worker_id="b"),
                               cid, "b")
-            wins = [a.claim(target), b.claim(target)]
+            wins = [a.claim_next(target), b.claim_next(target)]
             assert sum(1 for w in wins if w is not None) == 1
 
     def test_renew_409_after_fence_raises_leaselost(self, tmp_path):
@@ -182,7 +182,7 @@ class TestLeaseProtocol:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim(lease_seconds=0.4)
+            key, _config, _shard = remote.claim_next(lease_seconds=0.4)
             journal = CampaignJournal(campaign_dir(svc, cid))
             # Let the lease lapse unrenewed; the reaper requeues it, and
             # the next renew gets an authoritative 409 -> LeaseLost.
@@ -197,7 +197,7 @@ class TestLeaseProtocol:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, shard = remote.claim()
+            key, _config, shard = remote.claim_next()
             idem = f"rw1:{cid}:{key}:g{shard.get('generation', 0)}"
             body = {"campaign": cid, "worker": "rw1", "key": key,
                     "entry": {"cycles": 7}}
@@ -221,7 +221,7 @@ class TestLeaseProtocol:
             cid = submit_and_activate(svc)
             client = ServiceClient(svc.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim()
+            key, _config, _shard = remote.claim_next()
             assert remote.release_held() == 1
             shard = CampaignJournal(campaign_dir(svc, cid)).read_point(key)
             assert shard["status"] == "pending"
@@ -239,32 +239,36 @@ class TestLeaseProtocol:
                                "key": "k"})
             assert code == 404
 
-    def test_schedule_hides_dir_when_not_exposed(self, tmp_path):
-        config = quick_config(tmp_path, expose_dir=False)
-        with CampaignService(config) as svc:
+    def test_schedule_never_carries_dir_or_cache_dir(self, tmp_path):
+        with CampaignService(quick_config(tmp_path)) as svc:
             cid = submit_and_activate(svc)
             _status, sched = get(f"{svc.url}/schedule?worker=probe")
             assert sched["campaign_id"] == cid
-            assert sched["dir"] is None
+            assert "dir" not in sched
+            assert "cache_dir" not in sched
             assert sched["keys"]
+
+
+    def test_stop_is_not_a_shutdown_order(self, tmp_path):
+        """Only a drain tells workers to exit.  A worker that polls while
+        the daemon stops (a restart, say) must back off, not quit."""
+        svc = CampaignService(quick_config(tmp_path))
+        svc._stopping.set()
+        assert "shutdown" not in svc._schedule_doc("rw1")
+        svc._draining.set()
+        assert svc._schedule_doc("rw1")["shutdown"] is True
 
 
 class TestRemoteWorker:
     def test_filesystem_free_worker_is_bit_identical(
-            self, tmp_path, monkeypatch, reference):
+            self, tmp_path, reference):
         """The tentpole acceptance test, local half: a connected worker
-        that provably never opens the campaign directory (CampaignJournal
-        is booby-trapped in its modules, and the daemon never reveals the
+        that provably never opens the campaign directory (its modules do
+        not import CampaignJournal, and the daemon never reveals the
         path) finishes the campaign bit-identical to run_campaign."""
-
-        class Trap:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError(
-                    "connected worker touched the campaign filesystem")
-
-        monkeypatch.setattr(worker_mod, "CampaignJournal", Trap)
-        monkeypatch.setattr(transport_mod, "CampaignJournal", Trap)
-        config = quick_config(tmp_path, expose_dir=False)
+        assert not hasattr(worker_mod, "CampaignJournal")
+        assert not hasattr(transport_mod, "CampaignJournal")
+        config = quick_config(tmp_path)
         with CampaignService(config) as svc:
             cid = submit_and_activate(svc)
             report = work_service(svc.url, worker_options())
@@ -282,7 +286,7 @@ class TestRemoteWorker:
         chaos proxy retargets); the connected worker degrades to the
         breaker's reconnect loop, resumes, and completes every point
         exactly once — no duplicate completions, fingerprints identical."""
-        config = quick_config(tmp_path, expose_dir=False)
+        config = quick_config(tmp_path)
         svc_a = CampaignService(config).start()
         svc_b = None
         proxy = ChaosProxy("127.0.0.1", svc_a.port).start()
@@ -306,7 +310,7 @@ class TestRemoteWorker:
             svc_a.stop()
             time.sleep(0.8)   # the worker polls a dead daemon: breaker
             svc_b = CampaignService(
-                quick_config(tmp_path, expose_dir=False)).start()
+                quick_config(tmp_path)).start()
             proxy.retarget("127.0.0.1", svc_b.port)
             wait_for(lambda: done() == 4, timeout=120,
                      what="campaign completion after restart")
@@ -338,7 +342,7 @@ class TestRemoteWorker:
             root = campaign_dir(svc_a, cid)
             client = ServiceClient(svc_a.url, worker_id="rw1")
             remote = RemoteJournal(client, cid, "rw1")
-            key, _config, _shard = remote.claim(lease_seconds=2.0)
+            key, _config, _shard = remote.claim_next(lease_seconds=2.0)
             svc_a.drain(drain_seconds=0.3)
             _status, sched = get(f"{svc_a.url}/schedule?worker=probe")
             assert sched.get("shutdown") is True
@@ -381,8 +385,7 @@ class TestChaosSweep:
         SIGKILL-style death after its first claim), finishes fingerprint-
         identical to a local run_campaign, and the daemon's HTTP metrics
         saw the client-side retries the faults forced."""
-        config = quick_config(tmp_path, expose_dir=False,
-                              lease_seconds=3.0)
+        config = quick_config(tmp_path, lease_seconds=3.0)
         plan = FaultPlan(seed=1234, drop_rate=0.08, error_rate=0.12,
                          truncate_rate=0.08, duplicate_rate=0.08,
                          latency_rate=0.2, latency_seconds=0.01)
