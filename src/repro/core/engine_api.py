@@ -61,9 +61,6 @@ class PreExecutionEngine:
     def restore(self, state: Any) -> None:
         """Restore a snapshot taken by :meth:`checkpoint`."""
 
-    def on_squash(self, thread: ThreadContext, uop: Uop) -> None:
-        """Called once per squashed uop (resource reclamation hooks)."""
-
     def note_refetched(self, thread: ThreadContext, uop: Uop) -> None:
         """After a conditional-branch misprediction recovery: the engine's
         checkpoint has been restored; re-apply this branch's own effect on

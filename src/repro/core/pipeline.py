@@ -9,7 +9,8 @@ restore the rename map by walking the ROB from the tail (per-uop previous
 mappings).  Load-order violations squash from the offending load inclusive.
 Predictor global history, the return-address stack, and the pre-execution
 engine's speculative pointers (Phelps ``spec_head``) are restored from
-per-uop checkpoints taken at fetch (paper Section IV-B).
+per-uop checkpoints taken at fetch (paper Section IV-B); the uops of one
+fetch group share a checkpoint until a branch changes that state.
 """
 
 import time
@@ -46,6 +47,11 @@ _ISSUE_ORDER = attrgetter("fetch_cycle", "thread_id", "seq")
 # cycles (the pure-Python core sustains ~5-20k cycles/sec, so 256 cycles
 # is tens of milliseconds — far finer than any sane heartbeat interval).
 _HB_STRIDE = 256
+
+# The perfect-BP oracle's undo journal is trimmed once per this many
+# retired main-thread instructions, so each trim frees thousands of
+# entries and the journal stays bounded by the in-flight window.
+_ORACLE_TRIM_STRIDE = 1024
 
 
 class Core:
@@ -101,6 +107,9 @@ class Core:
         self.oracle: Optional[ArchState] = None
         if cfg.perfect_branch_prediction:
             self.oracle = ArchState(program, undo=True)
+        # Checkpoint shared by the main-thread uops of the current fetch
+        # group (see ``_predict``).
+        self._fetch_ckpt = None
 
         # Thread contexts.  The main thread always exists; helper contexts
         # are added/removed by the engine across full squashes.
@@ -333,12 +342,13 @@ class Core:
         """Restore predictor/RAS/engine state to just before ``uop`` fetched."""
         if thread.kind is not ThreadKind.MAIN:
             return
-        if uop.predictor_checkpoint is not None:
-            self.predictor.restore(uop.predictor_checkpoint)
-        if uop.ras_checkpoint is not None:
-            self.ras.restore(uop.ras_checkpoint)
-        if uop.engine_checkpoint is not None:
-            self.engine.restore(uop.engine_checkpoint)
+        predictor, ras, engine = uop.checkpoint
+        if predictor is not None:
+            self.predictor.restore(predictor)
+        if ras is not None:
+            self.ras.restore(ras)
+        if engine is not None:
+            self.engine.restore(engine)
 
     def _squash_thread(self, thread: ThreadContext, cutoff_seq: int) -> List[Uop]:
         """Squash all uops with seq >= cutoff in ``thread``; returns them."""
@@ -369,7 +379,6 @@ class Core:
                 thread.sq.remove(u)
             u.state = UopState.SQUASHED
             squashed.append(u)
-            self.engine.on_squash(thread, u)
         return squashed
 
     def _recover_to(self, thread: ThreadContext, uop: Uop, refetch_pc: int,
@@ -420,6 +429,8 @@ class Core:
                 if ready > cycle + 1:
                     thread.fetch_stalled_until = ready
                     return
+            # Retire and recovery ran since the last group: checkpoint anew.
+            self._fetch_ckpt = None
 
         # ``thread.fetch`` is looked up per iteration on purpose: the
         # engine's ``note_fetched`` hook may retarget the helper's fetch
@@ -456,9 +467,15 @@ class Core:
         is_main = thread.kind is ThreadKind.MAIN
 
         if is_main:
-            uop.predictor_checkpoint = self.predictor.checkpoint()
-            uop.ras_checkpoint = self.ras.checkpoint()
-            uop.engine_checkpoint = self.engine.checkpoint()
+            # Only branches change predictor, RAS and engine state inside a
+            # fetch group, so the uops up to and including the next branch
+            # share one checkpoint.
+            ckpt = self._fetch_ckpt
+            if ckpt is None:
+                ckpt = self._fetch_ckpt = (self.predictor.checkpoint(),
+                                           self.ras.checkpoint(),
+                                           self.engine.checkpoint())
+            uop.checkpoint = ckpt
             if self.oracle is not None:
                 uop.oracle_mark = self.oracle.undo.mark()
                 if not self.oracle.halted:
@@ -471,6 +488,8 @@ class Core:
             uop.pred_taken, uop.pred_target = False, None
             return False, None
 
+        if is_main:
+            self._fetch_ckpt = None
         taken, target = False, None
         if inst.is_cond_branch:
             if is_main:
@@ -924,6 +943,10 @@ class Core:
                 thread.resume_pc = uop.actual_target if uop.taken else inst.pc + 4
             elif inst.opcode is not Opcode.HALT:
                 thread.resume_pc = inst.pc + 4
+            if self.oracle is not None and not thread.retired % _ORACLE_TRIM_STRIDE:
+                # Every in-flight main uop is younger, so no recovery or
+                # drain rewinds the oracle below this uop's after-mark.
+                self.oracle.undo.trim(uop.oracle_mark_after)
 
         self.engine.on_retire(thread, uop)
 

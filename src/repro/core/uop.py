@@ -21,8 +21,8 @@ class Uop:
     __slots__ = (
         "inst", "thread_id", "seq", "pc", "state",
         # fetch-time prediction info
-        "pred_taken", "pred_target", "predictor_meta", "predictor_checkpoint",
-        "ras_checkpoint", "queue_token", "engine_checkpoint",
+        "pred_taken", "pred_target", "predictor_meta", "checkpoint",
+        "queue_token",
         "oracle_mark", "oracle_mark_after", "oracle_outcome", "pending",
         # rename info
         "phys_srcs", "phys_dest", "old_phys_dest",
@@ -44,10 +44,10 @@ class Uop:
         self.pred_taken: Optional[bool] = None
         self.pred_target: Optional[int] = None
         self.predictor_meta: Any = None
-        self.predictor_checkpoint: Any = None
-        self.ras_checkpoint: Any = None
+        # (predictor, RAS, engine) state before fetch; main-thread uops of
+        # one fetch group share it up to the first branch.
+        self.checkpoint: Any = None
         self.queue_token: Any = None        # prediction-queue consumption record
-        self.engine_checkpoint: Any = None  # spec_head pointer snapshot
         self.oracle_mark: Optional[int] = None
         self.oracle_mark_after: Optional[int] = None
         self.oracle_outcome: Any = None

@@ -57,21 +57,14 @@ class TageConfig:
 
 
 class _TaggedTable:
-    """One TAGE component table.
+    """One TAGE component table: tag, counter and usefulness columns.
 
-    Index/tag hashing is memoised per ``(pc, masked-history)`` pair: loop
-    workloads revisit a small set of branch PCs under recurring history
-    patterns, so the XOR-fold chains (six ``fold_bits`` calls per probe)
-    collapse to one dict hit.  The cache is a pure-function memo — it never
-    changes results — and is bounded (cleared when it outgrows its cap) and
-    dropped from pickles.
+    Index and tag hashing lives in :class:`TageSCL`, which keeps the
+    folded global-history images every table hashes with.
     """
 
     __slots__ = ("entries", "index_bits", "tag_bits", "history_len",
-                 "tags", "ctrs", "useful", "_mask", "_hist_mask", "_memo",
-                 "_pc_fold")
-
-    _MEMO_CAP = 1 << 16
+                 "tags", "ctrs", "useful")
 
     def __init__(self, entries: int, tag_bits: int, history_len: int):
         if entries & (entries - 1):
@@ -80,51 +73,9 @@ class _TaggedTable:
         self.index_bits = entries.bit_length() - 1
         self.tag_bits = tag_bits
         self.history_len = history_len
-        self._mask = entries - 1
-        # ``fold_bits`` truncates its input to 64 bits, so histories longer
-        # than that cannot influence the hash — clamping the memo key's
-        # mask to 64 bits is exact and stops >64-bit tables from
-        # fragmenting their cache across hash-identical histories.
-        self._hist_mask = (1 << min(history_len, 64)) - 1
-        self._memo = {}
-        self._pc_fold = {}
         self.tags = [0] * entries
         self.ctrs = [4] * entries  # 3-bit, 0..7, taken when >= 4
         self.useful = [0] * entries
-
-    def _hash(self, pc: int, h: int) -> tuple:
-        # Two differently-folded history images (one shifted) so that short
-        # histories cannot cancel out of the index.  The PC folds do not
-        # depend on the history, so they memoise per PC.
-        pcf = self._pc_fold.get(pc)
-        if pcf is None:
-            pcf = self._pc_fold[pc] = (fold_bits(pc >> 2, self.index_bits),
-                                       fold_bits(pc >> 2, self.tag_bits))
-        idx = (pcf[0]
-               ^ fold_bits(h, self.index_bits)
-               ^ (fold_bits(h, max(1, self.index_bits - 2)) << 1)) & self._mask
-        t = (pcf[1]
-             ^ fold_bits(h, self.tag_bits)
-             ^ (fold_bits(h, self.tag_bits - 1) << 1))
-        tag = t & ((1 << self.tag_bits) - 1) or 1  # tag 0 means "invalid"
-        return idx, tag
-
-    def index_tag(self, pc: int, history: int) -> tuple:
-        """Memoised (index, tag) for a probe."""
-        key = (pc, history & self._hist_mask)
-        hit = self._memo.get(key)
-        if hit is None:
-            memo = self._memo
-            if len(memo) >= self._MEMO_CAP:
-                memo.clear()
-            hit = memo[key] = self._hash(key[0], key[1])
-        return hit
-
-    def index(self, pc: int, history: int) -> int:
-        return self.index_tag(pc, history)[0]
-
-    def tag(self, pc: int, history: int) -> int:
-        return self.index_tag(pc, history)[1]
 
     def __getstate__(self):
         return {
@@ -185,8 +136,12 @@ class TageSCL(BranchPredictor):
         # ghr or the speculative loop iterators; ``restore`` copies, so a
         # shared checkpoint is never mutated through the live dict.
         self._ckpt = None
-        # Per-PC fold memo for the statistical corrector (pure function).
+        # Per-PC fold memos for the tagged tables and the statistical
+        # corrector (pure functions of the PC).
+        self._pc_fold: Dict[int, Tuple[int, int]] = {}
         self._sc_fold: Dict[int, int] = {}
+        self._plan_folds()
+        self._refold()
         # Stats observable by tests.
         self.predictions = 0
         self.provider_hits = 0
@@ -198,8 +153,19 @@ class TageSCL(BranchPredictor):
         return (pc >> 2) & self._base_mask
 
     def _tage_lookup(self, pc: int) -> Tuple[bool, dict]:
+        # Each table hashes two fold images of its history window into the
+        # index and two into the tag, so short histories cannot cancel out.
         ghr = self._ghr
-        lookups = [table.index_tag(pc, ghr) for table in self._tables]
+        v = self._folds + [ghr & m for m in self._windows]
+        pcf = self._pc_fold.get(pc)
+        if pcf is None:
+            pcf = self._pc_fold[pc] = (fold_bits(pc >> 2, self._index_bits),
+                                       fold_bits(pc >> 2, self._tag_bits))
+        pi, pt = pcf
+        imask, tmask = self._index_mask, self._tag_mask
+        lookups = [((pi ^ v[a] ^ (v[b] << 1)) & imask,
+                    (pt ^ v[c] ^ (v[d] << 1)) & tmask or 1)  # tag 0: invalid
+                   for a, b, c, d in self._probe]
         # Provider = longest-history hit; alt = next-longest.
         provider, alt = None, None
         for t in range(len(self._tables) - 1, -1, -1):
@@ -290,9 +256,58 @@ class TageSCL(BranchPredictor):
     # ------------------------------------------------------------------
     # Speculative history.
     # ------------------------------------------------------------------
+    def _plan_folds(self) -> None:
+        """Lay out the folded-history registers and each table's probe.
+
+        A table's hash XORs ``fold_bits(ghr & mask_L, n)`` for its window
+        ``L = min(history_len, 64)`` (``fold_bits`` sees 64 bits at most)
+        and four fold widths ``n``.  Every distinct ``(L, n)`` with
+        ``L > n`` gets one register (Seznec's circular-shift folded
+        history), advanced in ``spec_update``.  A window no wider than
+        its fold folds to itself, so it reads ``ghr & mask_L``.  The probe
+        of a table names its four images as positions in
+        ``self._folds + [ghr & m for m in self._windows]``.
+        """
+        cfg = self.config
+        self._index_bits = cfg.table_entries.bit_length() - 1
+        self._tag_bits = cfg.tag_bits
+        self._index_mask = cfg.table_entries - 1
+        self._tag_mask = (1 << cfg.tag_bits) - 1
+        widths = (self._index_bits, max(1, self._index_bits - 2),
+                  self._tag_bits, self._tag_bits - 1)
+        windows = sorted({min(t.history_len, 64) for t in self._tables})
+        regs = sorted({(L, n) for L in windows for n in widths if L > n})
+        direct = [L for L in windows if any(L <= n for n in widths)]
+        self._fold_regs = regs
+        # (leaving bit, where it lands in the fold, n, mask) per register.
+        self._fold_steps = [(L - 1, L % n, n, (1 << n) - 1) for L, n in regs]
+        self._windows = [(1 << L) - 1 for L in direct]
+        pos = {key: i for i, key in enumerate(regs)}
+        pos.update((L, len(regs) + i) for i, L in enumerate(direct))
+
+        def image(L: int, n: int) -> int:
+            return pos[(L, n)] if L > n else pos[L]
+
+        self._probe = [tuple(image(min(t.history_len, 64), n) for n in widths)
+                       for t in self._tables]
+
+    def _refold(self) -> None:
+        """Rebuild the folded-history registers from ``_ghr``."""
+        ghr = self._ghr
+        self._folds = [fold_bits(ghr & ((1 << L) - 1), n)
+                       for L, n in self._fold_regs]
+
     def spec_update(self, pc: int, taken: bool) -> None:
         self._ckpt = None
-        self._ghr = ((self._ghr << 1) | int(taken)) & self._ghr_mask
+        ghr = self._ghr
+        bit = 1 if taken else 0
+        # Shifting the window left rotates its fold left by one; the bit
+        # leaving the window drops out at position L % n.
+        folds = self._folds
+        for i, (top, out, n, mask) in enumerate(self._fold_steps):
+            f = ((folds[i] << 1) | bit) ^ (((ghr >> top) & 1) << out)
+            folds[i] = (f ^ (f >> n)) & mask
+        self._ghr = ((ghr << 1) | bit) & self._ghr_mask
         if self.config.use_loop and pc in self._loops:
             entry = self._loops[pc]
             cur = self._loop_spec_iter.get(pc, entry.arch_iter)
@@ -306,7 +321,10 @@ class TageSCL(BranchPredictor):
 
     def restore(self, state: Any) -> None:
         self._ckpt = None
+        ghr = self._ghr
         self._ghr, self._loop_spec_iter = state[0], dict(state[1])
+        if self._ghr != ghr:
+            self._refold()
 
     # ------------------------------------------------------------------
     # Retire-time training.
@@ -445,16 +463,20 @@ class TageSCL(BranchPredictor):
             self._update_loop(pc, taken)
 
     # ------------------------------------------------------------------
-    # Compact serialization: counter columns pickle as packed bytes, and
-    # the pure-function memos are dropped (rebuilt on demand).
+    # Compact serialization: counter columns pickle as packed bytes; the
+    # pure-function memos and the folded history are derived, so they are
+    # dropped and rebuilt.
     # ------------------------------------------------------------------
+    _DERIVED = ("_pc_fold", "_sc_fold", "_ckpt", "_index_bits", "_tag_bits",
+                "_index_mask", "_tag_mask", "_fold_regs", "_fold_steps",
+                "_windows", "_probe", "_folds")
+
     def __getstate__(self):
-        state = dict(self.__dict__)
+        state = {k: v for k, v in self.__dict__.items()
+                 if k not in self._DERIVED}
         state["_base"] = bytes(state["_base"])
         state["_sc_pc"] = array("b", state["_sc_pc"]).tobytes()
         state["_sc_hist"] = array("b", state["_sc_hist"]).tobytes()
-        state["_sc_fold"] = {}
-        state["_ckpt"] = None
         return state
 
     def __setstate__(self, state):
@@ -464,3 +486,6 @@ class TageSCL(BranchPredictor):
             col.frombytes(state[key])
             state[key] = col.tolist()
         self.__dict__.update(state)
+        self._pc_fold, self._sc_fold, self._ckpt = {}, {}, None
+        self._plan_folds()
+        self._refold()

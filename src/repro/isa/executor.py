@@ -42,13 +42,23 @@ class UndoLog:
     ``mark()`` returns a position; ``rewind(state, mark)`` restores the
     executor to exactly that position.  Memory entries record the previous
     word value (or ``None`` when the address was untouched).
+
+    Marks are absolute: ``trim(mark)`` forgets the entries below ``mark``
+    (no later rewind may go below it) without moving any mark taken
+    before or after.
     """
 
     def __init__(self):
         self._entries: List[Tuple] = []
+        self._base = 0  # absolute position of ``_entries[0]``
 
     def mark(self) -> int:
-        return len(self._entries)
+        return self._base + len(self._entries)
+
+    def trim(self, mark: int) -> None:
+        """Forget the entries below ``mark``: no rewind goes there again."""
+        del self._entries[:mark - self._base]
+        self._base = mark
 
     def log_reg(self, idx: int, old: int) -> None:
         self._entries.append(("r", idx, old))
@@ -63,6 +73,10 @@ class UndoLog:
         self._entries.append(("h",))
 
     def rewind(self, state: "ArchState", mark: int) -> None:
+        if mark < self._base:
+            raise ValueError(f"rewind to {mark} below the trimmed journal "
+                             f"start {self._base}")
+        mark -= self._base
         while len(self._entries) > mark:
             entry = self._entries.pop()
             kind = entry[0]

@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.core import Core, CoreConfig
+from repro.core.pipeline import _ORACLE_TRIM_STRIDE
 from repro.core.snapshot import SnapshotError, SnapshotStore, take_snapshot
 from repro.guard.checker import SimGuard
 from repro.guard.errors import DivergenceError
@@ -65,6 +66,19 @@ def test_perfbp_oracle_rewind_resume(tmp_path):
                                engine="perfbp", max_instructions=8000,
                                snapshot_interval=3000)
     assert _stats_key(full) == _stats_key(resumed)
+
+
+def test_perfbp_oracle_journal_trimmed_at_retire():
+    # Retire forgets the oracle's undo entries below the retiring uop's
+    # after-mark, so the journal stays bounded by the in-flight window;
+    # the resume test above runs with the same trimming.
+    core = Core(build_workload("perlbench"),
+                config=CoreConfig(perfect_branch_prediction=True))
+    core.run(max_instructions=8000)
+    undo = core.oracle.undo
+    assert undo.mark() - len(undo) > 0  # a retired prefix was freed
+    assert len(undo) < 4 * _ORACLE_TRIM_STRIDE
+    core.snapshot()  # the drain rewinds to a mark above the trimmed start
 
 
 def test_guard_survives_snapshot_resume(tmp_path):

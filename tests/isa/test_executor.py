@@ -250,6 +250,27 @@ class TestUndoLog:
         assert s.mem[arr] == 9
         assert s.pc == prog.entry
 
+    def test_trim_keeps_marks_absolute(self):
+        a = Assembler()
+        for i in range(12):
+            a.li("x1", i)
+        a.halt()
+        prog = a.build()
+        s = ArchState(prog, undo=True)
+        marks = []
+        for _ in range(8):
+            marks.append(s.undo.mark())
+            s.step()
+        s.undo.trim(marks[6])
+        assert len(s.undo) == 4  # two steps of (reg, pc) entries remain
+        assert s.undo.mark() == 16
+        s.step()
+        s.undo.rewind(s, marks[7])
+        assert s.regs[1] == 6
+        assert s.pc == prog.entry + 7 * 4
+        with pytest.raises(ValueError, match="below the trimmed"):
+            s.undo.rewind(s, marks[5])
+
 
 @st.composite
 def random_linear_programs(draw):
@@ -294,3 +315,24 @@ class TestUndoProperty:
         assert s.regs == ref.regs
         assert s.pc == ref.pc
         assert {a: v for a, v in s.mem.items()} == {a: v for a, v in ref.mem.items()}
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_linear_programs(), st.data())
+    def test_rewind_after_trim_equals_replay(self, prog, data):
+        """Trimming at a retired step never changes a later rewind."""
+        s = ArchState(prog, undo=True)
+        marks = []
+        while not s.halted:
+            marks.append(s.undo.mark())
+            s.step()
+        j = data.draw(st.integers(0, len(marks) - 1))
+        s.undo.trim(marks[j])
+        k = data.draw(st.integers(j, len(marks) - 1))
+        s.undo.rewind(s, marks[k])
+
+        ref = ArchState(prog)
+        for _ in range(k):
+            ref.step()
+        assert s.regs == ref.regs
+        assert s.pc == ref.pc
+        assert s.mem == ref.mem
